@@ -16,11 +16,17 @@ and the new tiers under ``extra["scale_p2048"]`` /  ``scale_p4096`` /
 import pathlib
 
 from benchmarks.conftest import run_once
-from repro.perf.bench import run_hier_scale
+from repro.perf.bench import run_hier_scale, update_bench_json
+from repro.perf.tiers import scale_key
 from repro.util.tables import format_table
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_core.json"
+
+
+def _record(results):
+    for p_label, tier in results.items():
+        update_bench_json(scale_key(int(p_label)), tier, BENCH_JSON)
 
 
 def _rows(results):
@@ -38,9 +44,8 @@ def _rows(results):
 def test_scale_hier_p1024(report, benchmark):
     """Head-to-head against the flat open shop at the P = 1024 wall."""
 
-    results = run_once(
-        benchmark, run_hier_scale, (1024,), output=BENCH_JSON,
-    )
+    results = run_once(benchmark, run_hier_scale, (1024,))
+    _record(results)
     report(
         "scale_hier_p1024",
         format_table(
@@ -62,9 +67,8 @@ def test_scale_hier_p1024(report, benchmark):
 def test_scale_beyond_the_wall(report, benchmark):
     """P in {2048, 4096, 8192}: sizes the flat open shop cannot reach."""
 
-    results = run_once(
-        benchmark, run_hier_scale, (2048, 4096, 8192), output=BENCH_JSON,
-    )
+    results = run_once(benchmark, run_hier_scale, (2048, 4096, 8192))
+    _record(results)
     report(
         "scale_hier_ladder",
         format_table(

@@ -44,17 +44,10 @@ from typing import (
 )
 
 from repro.ops.sink import MetricsSink, event_record
+from repro.runtime.metrics import percentile
 from repro.util.spec import format_spec, parse_spec
 
 logger = logging.getLogger("repro.ops.slo")
-
-
-def _percentile(samples: Sequence[float], q: float) -> float:
-    ordered = sorted(samples)
-    index = min(
-        len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1)))
-    )
-    return ordered[index]
 
 
 def _mean(samples: Sequence[float]) -> float:
@@ -109,7 +102,7 @@ SLO_KINDS: Dict[str, SloKind] = {
         SloKind(
             "p99_decision_latency",
             _latency_sample,
-            lambda samples: _percentile(samples, 99),
+            lambda samples: percentile(samples, 99),
             "p99 of per-decision wall-clock latency (s)",
         ),
         SloKind(

@@ -13,7 +13,9 @@ schedule-construction cost a first-class, measured quantity:
 * :mod:`repro.perf.memo` — schedule and lower-bound memoization keyed by
   a cost-matrix digest, for repeated-instance experiment paths;
 * :mod:`repro.perf.bench` — the micro-benchmark runner behind
-  ``python -m repro.cli bench``, which writes ``BENCH_core.json``.
+  ``python -m repro.cli bench``, which writes ``BENCH_core.json``;
+* :mod:`repro.perf.tiers` — the guarded bench tiers (``bench --tier``),
+  judged by :mod:`repro.perf.regression`.
 """
 
 from repro.perf.bench import run_bench, update_bench_json

@@ -101,15 +101,14 @@ def run_hier_scale(
     seed: int = 0,
     flat_max_p: int = 1024,
     validate: bool = False,
-    output: Optional[PathLike] = None,
 ) -> Dict[str, Dict[str, Any]]:
     """Bench the hierarchical scheduler on the extended scale ladder.
 
     For each ``P`` the deterministic :func:`clustered_instance` is
     scheduled by the hierarchical scheduler — and, up to ``flat_max_p``,
     by the flat open shop for comparison — recording wall-clock seconds
-    and the makespan ratio to the lower bound.  With ``output``, each
-    tier lands in that bench JSON under ``extra["scale_p{P}"]``
+    and the makespan ratio to the lower bound.  ``bench --tier hier``
+    files each tier under ``extra["scale_p{P}"]``
     (``extra["scale_hier_p{P}"]`` for the tiers the flat benchmarks
     already own).  ``validate`` additionally runs the vectorized
     schedule checker on every result (off by default: checking is
@@ -149,13 +148,6 @@ def run_hier_scale(
                 "events": len(schedule),
             }
         results[str(num_procs)] = tier
-        if output is not None:
-            section = (
-                f"scale_p{num_procs}"
-                if num_procs > 1024
-                else f"scale_hier_p{num_procs}"
-            )
-            update_bench_json(section, tier, output)
     return results
 
 
@@ -167,7 +159,6 @@ def run_drift_response(
     cluster_size: int = 64,
     hier_min_p: int = 2048,
     seed: int = 0,
-    output: Optional[PathLike] = None,
 ) -> Dict[str, Dict[str, Any]]:
     """Drift-tick latency: delta repair vs. a full reschedule.
 
@@ -283,10 +274,6 @@ def run_drift_response(
             "repaired_events_mean": float(np.mean(repaired_events)),
         }
         results[str(num_procs)] = tier
-        if output is not None:
-            update_bench_json(
-                f"drift_response_p{num_procs}", tier, output
-            )
     return results
 
 
@@ -342,7 +329,6 @@ def run_collectives_bench(
     *,
     size_bytes: float = float(1 << 20),
     seed: int = 0,
-    output: Optional[PathLike] = None,
 ) -> Dict[str, Dict[str, Any]]:
     """Bench the collective planners on clustered heterogeneous platforms.
 
@@ -425,8 +411,6 @@ def run_collectives_bench(
             float(lockstep) / float(ring_auto)
         )
         results[str(num_procs)] = tier
-        if output is not None:
-            update_bench_json(f"collectives_p{num_procs}", tier, output)
     return results
 
 
@@ -440,7 +424,6 @@ def run_allreduce_straggler_serve(
     straggler_ticks: int = 2,
     scheduler: str = "greedy",
     seed: int = 0,
-    output: Optional[PathLike] = None,
 ) -> Dict[str, Any]:
     """Serve ring all-reduce traffic through a straggler episode.
 
@@ -548,10 +531,6 @@ def run_allreduce_straggler_serve(
             ),
         },
     }
-    if output is not None:
-        update_bench_json(
-            f"collectives_allreduce_straggler_p{num_procs}", payload, output
-        )
     return payload
 
 
@@ -663,7 +642,6 @@ def run_daemon_load(
     scheduler: str = "openshop",
     directory: str = "drift:sigma=0.02",
     workload: str = "mixed",
-    output: Optional[PathLike] = None,
 ) -> Dict[str, Any]:
     """Multi-tenant daemon load tier: throughput and decision latency.
 
@@ -695,16 +673,14 @@ def run_daemon_load(
         "directory": directory,
         "workload": workload,
     })
-    if output is not None:
-        update_bench_json(f"daemon_load_t{tenants}", payload, output)
     return payload
 
 
 def run_daemon_ps_fanin(
-    tenants: int = 64,
+    tenants: int = 100,
     *,
-    cohorts: int = 8,
-    procs: int = 8,
+    cohorts: int = 16,
+    procs: int = 6,
     connections: int = 4,
     duration_s: float = 6.0,
     servers: int = 1,
@@ -713,7 +689,6 @@ def run_daemon_ps_fanin(
     scheduler: str = "openshop",
     directory: str = "drift:sigma=0.02",
     seed: int = 0,
-    output: Optional[PathLike] = None,
 ) -> Dict[str, Any]:
     """Parameter-server fan-in through the daemon with a heavy-tail mix.
 
@@ -761,8 +736,6 @@ def run_daemon_ps_fanin(
         "workload": "parameter-server fan-in, heavy-tail cohort mix",
         "cohort_block_bytes": block_sizes,
     })
-    if output is not None:
-        update_bench_json(f"daemon_ps_fanin_t{tenants}", payload, output)
     return payload
 
 
@@ -770,7 +743,6 @@ def run_soak_smoke(
     *,
     seed: int = 0,
     ops_dir: Optional[PathLike] = None,
-    output: Optional[PathLike] = None,
 ) -> Dict[str, Any]:
     """Chaos-soak smoke tier: the seeded CI soak as a guarded benchmark.
 
@@ -831,8 +803,6 @@ def run_soak_smoke(
         },
         "wall_s": report.wall_s,
     }
-    if output is not None:
-        update_bench_json("soak_smoke", payload, output)
     return payload
 
 

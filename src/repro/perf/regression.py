@@ -4,8 +4,8 @@
 performance claims — schedule quality (``ratio_to_lb``,
 ``makespan_ratio_max``) and wall-clock latency per tier.  CI
 re-measures a subset of those tiers on every push; this module turns
-"did it regress?" into an explicit, tunable comparison instead of
-ad-hoc asserts scattered through workflow YAML.
+"did it regress?" into an explicit, tunable comparison driven by the
+guard rows of :data:`repro.perf.tiers.TIERS`.
 
 Two kinds of numbers get two kinds of tolerance:
 
@@ -18,9 +18,12 @@ Two kinds of numbers get two kinds of tolerance:
   bench's repair-vs-full speedup, machine speed mostly cancelled) get
   an intermediate ``speedup_factor``.
 
+Absolute rows (the hierarchical ``ratio_to_lb <= 1.25``, the soak's
+zero-violation guarantees, ...) need no baseline.
+
 The entry point is :func:`bench_regressions`: give it the committed
-and fresh ``extra`` payloads and it returns human-readable violation
-strings for every tier name they share — an empty list is a pass.
+and fresh ``extra`` payloads and it returns one human-readable
+violation string per violated metric — an empty list is a pass.
 Load the committed record *before* re-running any bench that writes to
 the same path, or the guard compares the fresh file with itself.
 """
@@ -28,15 +31,29 @@ the same path, or the guard compares the fresh file with itself.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+import operator
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-__all__ = [
-    "bench_regressions",
-    "collectives_regressions",
-    "drift_regressions",
-    "load_bench",
-    "scale_regressions",
-]
+from repro.perf.tiers import tier_of
+
+__all__ = ["bench_regressions", "load_bench"]
+
+#: relative kind -> (fails(committed, fresh, tolerance), allowance text)
+_RELATIVE = {
+    "quality": (lambda old, new, tol: new > old * (1.0 + tol), "rtol {:.0%}"),
+    "quality_min": (
+        lambda old, new, tol: new < old * (1.0 - tol), "rtol {:.0%}"
+    ),
+    "seconds": (lambda old, new, tol: new > old * tol, "{:.0f}x"),
+    "speedup": (lambda old, new, tol: new < old / tol, "{:.0f}x slack"),
+}
+
+#: absolute kind -> holds(fresh, bound)
+_ABSOLUTE = {
+    "<=": operator.le, "<": operator.lt, ">=": operator.ge, "==": operator.eq,
+}
+
+_MISSING = object()
 
 
 def load_bench(path) -> Dict[str, Any]:
@@ -45,216 +62,31 @@ def load_bench(path) -> Dict[str, Any]:
         return json.load(handle)
 
 
-def scale_regressions(
-    name: str,
-    committed: Dict[str, Any],
-    fresh: Dict[str, Any],
-    *,
-    quality_rtol: float = 0.05,
-    seconds_factor: float = 5.0,
-) -> List[str]:
-    """Compare one ``scale_*`` tier: per-scheduler quality and latency."""
-    problems: List[str] = []
-    for scheduler, stats in committed.items():
-        if scheduler == "meta" or not isinstance(stats, dict):
-            continue
-        current = fresh.get(scheduler)
-        if current is None:
-            problems.append(f"{name}: scheduler {scheduler!r} disappeared")
-            continue
-        old_ratio = stats.get("ratio_to_lb")
-        new_ratio = current.get("ratio_to_lb")
-        if old_ratio is not None and new_ratio is not None:
-            if new_ratio > old_ratio * (1.0 + quality_rtol):
-                problems.append(
-                    f"{name}/{scheduler}: ratio_to_lb regressed "
-                    f"{old_ratio:.4f} -> {new_ratio:.4f} "
-                    f"(allowed rtol {quality_rtol:.0%})"
-                )
-        old_s = stats.get("seconds")
-        new_s = current.get("seconds")
-        if old_s is not None and new_s is not None:
-            if new_s > old_s * seconds_factor:
-                problems.append(
-                    f"{name}/{scheduler}: seconds regressed "
-                    f"{old_s:.3f}s -> {new_s:.3f}s "
-                    f"(allowed {seconds_factor:.0f}x)"
-                )
-    return problems
+def _expand(pattern: str, record: Dict[str, Any]) -> Iterator[str]:
+    """Concrete metric paths of a guard row; ``*`` is every non-meta
+    entry of ``record``."""
+    head, _, rest = pattern.partition("/")
+    if head != "*":
+        yield pattern
+        return
+    for entry, value in record.items():
+        if entry != "meta" and isinstance(value, dict):
+            yield f"{entry}/{rest}"
 
 
-def drift_regressions(
-    name: str,
-    committed: Dict[str, Any],
-    fresh: Dict[str, Any],
-    *,
-    quality_rtol: float = 0.05,
-    speedup_factor: float = 3.0,
-    seconds_factor: float = 5.0,
-) -> List[str]:
-    """Compare one ``drift_response_*`` tier.
-
-    The repaired-vs-scratch makespan ratio is quality (tight); the
-    repair latency is seconds (loose); the p50 speedup is a ratio of
-    two latencies on the *same* machine, so most of the machine-speed
-    variance cancels and it gets the intermediate ``speedup_factor``.
-    """
-    problems: List[str] = []
-    old_ratio = committed.get("makespan_ratio_max")
-    new_ratio = fresh.get("makespan_ratio_max")
-    if old_ratio is not None and new_ratio is not None:
-        if new_ratio > old_ratio * (1.0 + quality_rtol):
-            problems.append(
-                f"{name}: makespan_ratio_max regressed "
-                f"{old_ratio:.4f} -> {new_ratio:.4f} "
-                f"(allowed rtol {quality_rtol:.0%})"
-            )
-    old_speedup = committed.get("speedup_p50")
-    new_speedup = fresh.get("speedup_p50")
-    if old_speedup is not None and new_speedup is not None:
-        if new_speedup < old_speedup / speedup_factor:
-            problems.append(
-                f"{name}: speedup_p50 regressed "
-                f"{old_speedup:.2f}x -> {new_speedup:.2f}x "
-                f"(allowed {speedup_factor:.0f}x slack)"
-            )
-    old_p50 = committed.get("repair", {}).get("p50_s")
-    new_p50 = fresh.get("repair", {}).get("p50_s")
-    if old_p50 is not None and new_p50 is not None:
-        if new_p50 > old_p50 * seconds_factor:
-            problems.append(
-                f"{name}: repair p50 regressed "
-                f"{old_p50:.3f}s -> {new_p50:.3f}s "
-                f"(allowed {seconds_factor:.0f}x)"
-            )
-    return problems
+def _lookup(record: Dict[str, Any], path: str) -> Tuple[Any, str]:
+    """``(value, path)``, or ``(_MISSING, first missing path prefix)``."""
+    node: Any = record
+    parts = path.split("/")
+    for depth, part in enumerate(parts):
+        if not isinstance(node, dict) or part not in node:
+            return _MISSING, "/".join(parts[: depth + 1])
+        node = node[part]
+    return node, path
 
 
-def collectives_regressions(
-    name: str,
-    committed: Dict[str, Any],
-    fresh: Dict[str, Any],
-    *,
-    quality_rtol: float = 0.05,
-    seconds_factor: float = 5.0,
-) -> List[str]:
-    """Compare one ``collectives_*`` tier.
-
-    Modelled completion times, makespan degradation and the headline
-    algorithm-vs-baseline ratios are deterministic given the seed, so
-    they are quality (tight); planning wall-clock and tick latency are
-    seconds (loose).
-    """
-    problems: List[str] = []
-    for key, stats in committed.items():
-        if key == "meta" or not isinstance(stats, dict):
-            continue
-        current = fresh.get(key)
-        if current is None:
-            problems.append(f"{name}: entry {key!r} disappeared")
-            continue
-        old_completion = stats.get("completion_s")
-        new_completion = current.get("completion_s")
-        if old_completion is not None and new_completion is not None:
-            if new_completion > old_completion * (1.0 + quality_rtol):
-                problems.append(
-                    f"{name}/{key}: completion_s regressed "
-                    f"{old_completion:.4g} -> {new_completion:.4g} "
-                    f"(allowed rtol {quality_rtol:.0%})"
-                )
-        old_s = stats.get("seconds")
-        new_s = current.get("seconds")
-        if old_s is not None and new_s is not None:
-            if new_s > old_s * seconds_factor:
-                problems.append(
-                    f"{name}/{key}: seconds regressed "
-                    f"{old_s:.3f}s -> {new_s:.3f}s "
-                    f"(allowed {seconds_factor:.0f}x)"
-                )
-    for ratio_key in (
-        "broadcast_log_vs_binomial", "allreduce_pipelined_vs_lockstep"
-    ):
-        old_ratio = committed.get(ratio_key)
-        new_ratio = fresh.get(ratio_key)
-        if old_ratio is not None and new_ratio is not None:
-            if new_ratio < old_ratio * (1.0 - quality_rtol):
-                problems.append(
-                    f"{name}: {ratio_key} regressed "
-                    f"{old_ratio:.3f}x -> {new_ratio:.3f}x "
-                    f"(allowed rtol {quality_rtol:.0%})"
-                )
-    old_makespan = committed.get("makespan", {})
-    new_makespan = fresh.get("makespan", {})
-    old_deg = old_makespan.get("degradation_max")
-    new_deg = new_makespan.get("degradation_max")
-    if old_deg is not None and new_deg is not None:
-        if new_deg > old_deg * (1.0 + quality_rtol):
-            problems.append(
-                f"{name}: makespan degradation_max regressed "
-                f"{old_deg:.3f} -> {new_deg:.3f} "
-                f"(allowed rtol {quality_rtol:.0%})"
-            )
-    old_p50 = committed.get("tick_latency", {}).get("p50_s")
-    new_p50 = fresh.get("tick_latency", {}).get("p50_s")
-    if old_p50 is not None and new_p50 is not None:
-        if new_p50 > old_p50 * seconds_factor:
-            problems.append(
-                f"{name}: tick latency p50 regressed "
-                f"{old_p50:.4f}s -> {new_p50:.4f}s "
-                f"(allowed {seconds_factor:.0f}x)"
-            )
-    return problems
-
-
-def soak_regressions(
-    name: str,
-    committed: Dict[str, Any],
-    fresh: Dict[str, Any],
-    *,
-    seconds_factor: float = 5.0,
-) -> List[str]:
-    """Compare one ``soak_*`` tier.
-
-    The soak's guarantees are absolute, not relative: a fresh run must
-    hold zero oracle violations, zero dropped requests, zero-loss
-    restart, backup bit-identity, and must both fire *and* resolve the
-    canary alert.  Only wall time is judged against the committed
-    baseline (loose, machine-speed dependent).
-    """
-    problems: List[str] = []
-    if fresh.get("oracle_violations", 0) != 0:
-        problems.append(
-            f"{name}: {fresh['oracle_violations']} oracle violations "
-            f"(must be 0)"
-        )
-    daemon = fresh.get("daemon", {})
-    if daemon.get("dropped", 0) != 0:
-        problems.append(
-            f"{name}: daemon dropped {daemon['dropped']} requests "
-            f"(must be 0)"
-        )
-    if not daemon.get("zero_loss", True):
-        problems.append(f"{name}: daemon accepted != served across restart")
-    if not daemon.get("restart_bit_identical", True):
-        problems.append(f"{name}: daemon state changed across restart")
-    if not fresh.get("backup_bit_identical", True):
-        problems.append(f"{name}: backup payload not bit-identical")
-    if fresh.get("alerts_fired", 0) < 1:
-        problems.append(f"{name}: no SLO alert fired (canary broken)")
-    if fresh.get("alerts_resolved", 0) < 1:
-        problems.append(f"{name}: no SLO alert resolved (canary broken)")
-    if fresh.get("store", {}).get("sealed_segments", 0) < 1:
-        problems.append(f"{name}: metrics store never rotated a segment")
-    old_wall = committed.get("wall_s")
-    new_wall = fresh.get("wall_s")
-    if old_wall is not None and new_wall is not None:
-        if new_wall > old_wall * seconds_factor:
-            problems.append(
-                f"{name}: wall time regressed "
-                f"{old_wall:.2f}s -> {new_wall:.2f}s "
-                f"(allowed {seconds_factor:.0f}x)"
-            )
-    return problems
+def _fmt(value: Any) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else repr(value)
 
 
 def bench_regressions(
@@ -265,42 +97,66 @@ def bench_regressions(
     seconds_factor: float = 5.0,
     speedup_factor: float = 3.0,
 ) -> List[str]:
-    """Violations across every tier present in *both* records.
+    """One violation string per violated metric of every fresh record.
 
-    Tiers only one side has are skipped: the committed record holds
-    more tiers than any single CI job re-measures, and a brand-new
-    tier has no baseline yet.
+    Each record is judged by the guard rows of the tier its key
+    resolves to.  Relative rows only run where the committed record
+    has the tier and the metric: the committed record holds more
+    tiers than any single CI job re-measures, and a brand-new tier has
+    no baseline yet.  Absolute rows hold every fresh record.  A metric
+    the baseline has but the fresh record lacks is reported as
+    disappeared; a metric that breaks several rows is reported once.
     """
+    tolerance = {
+        "quality": quality_rtol,
+        "quality_min": quality_rtol,
+        "seconds": seconds_factor,
+        "speedup": speedup_factor,
+    }
     problems: List[str] = []
-    if not committed_extra or not fresh_extra:
-        return problems
-    for name in sorted(set(committed_extra) & set(fresh_extra)):
-        committed = committed_extra[name]
-        fresh = fresh_extra[name]
-        if not isinstance(committed, dict) or not isinstance(fresh, dict):
+    for name, fresh in sorted((fresh_extra or {}).items()):
+        tier = tier_of(name)
+        if tier is None or not isinstance(fresh, dict):
             continue
-        if name.startswith("drift_response"):
-            problems += drift_regressions(
-                name, committed, fresh,
-                quality_rtol=quality_rtol,
-                speedup_factor=speedup_factor,
-                seconds_factor=seconds_factor,
-            )
-        elif name.startswith("scale"):
-            problems += scale_regressions(
-                name, committed, fresh,
-                quality_rtol=quality_rtol,
-                seconds_factor=seconds_factor,
-            )
-        elif name.startswith("collectives"):
-            problems += collectives_regressions(
-                name, committed, fresh,
-                quality_rtol=quality_rtol,
-                seconds_factor=seconds_factor,
-            )
-        elif name.startswith("soak"):
-            problems += soak_regressions(
-                name, committed, fresh,
-                seconds_factor=seconds_factor,
-            )
+        committed = (committed_extra or {}).get(name)
+        if not isinstance(committed, dict):
+            committed = None
+        reasons: Dict[str, List[str]] = {}
+        for guard in tier.guards:
+            relative = guard.kind in _RELATIVE
+            if relative and committed is None:
+                continue
+            for path in _expand(guard.path, committed if relative else fresh):
+                old = (
+                    _MISSING if committed is None
+                    else _lookup(committed, path)[0]
+                )
+                if relative and old is _MISSING:
+                    continue
+                new, where = _lookup(fresh, path)
+                if new is _MISSING:
+                    if old is not _MISSING:
+                        reasons.setdefault(where, ["disappeared"])
+                    continue
+                if relative:
+                    fails, allowance = _RELATIVE[guard.kind]
+                    tol = tolerance[guard.kind]
+                    if not fails(old, new, tol):
+                        continue
+                    detail = (
+                        f"regressed {_fmt(old)} -> {_fmt(new)} "
+                        f"(allowed {allowance.format(tol)})"
+                    )
+                elif _ABSOLUTE[guard.kind](new, guard.bound):
+                    continue
+                else:
+                    detail = (
+                        f"is {_fmt(new)}, must be {guard.kind} "
+                        f"{_fmt(guard.bound)}"
+                    )
+                if guard.why:
+                    detail += f": {guard.why}"
+                reasons.setdefault(path, []).append(detail)
+        for path in sorted(reasons):
+            problems.append(f"{name}: {path} {'; '.join(reasons[path])}")
     return problems

@@ -25,7 +25,6 @@ from repro.runtime.metrics import (
     DECISIONS,
     Histogram,
     RuntimeMetrics,
-    SessionMetrics,
     TickEvent,
 )
 from repro.runtime.policy import (
@@ -51,7 +50,6 @@ __all__ = [
     "RESCHEDULE",
     "REUSE",
     "RuntimeMetrics",
-    "SessionMetrics",
     "TickEvent",
     "TickResult",
     "decide",

@@ -14,14 +14,26 @@ from __future__ import annotations
 
 import json
 import pathlib
-import warnings
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.ops.sink import Counter, MetricsSink
 
 #: Trace timestamps are microseconds (matches :mod:`repro.io.trace`).
 _US = 1e6
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile: the sorted sample at index
+    ``round(q / 100 * (n - 1))`` (round half to even); 0.0 for no
+    samples."""
+    if not (0.0 <= q <= 100.0):
+        raise ValueError(f"q must be in [0, 100], got {q}")
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    index = min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1))))
+    return ordered[index]
 
 
 class Histogram:
@@ -61,15 +73,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Approximate percentile over the retained recent samples."""
-        if not (0.0 <= q <= 100.0):
-            raise ValueError(f"q must be in [0, 100], got {q}")
-        if not self._recent:
-            return 0.0
-        ordered = sorted(self._recent)
-        index = min(
-            len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1)))
-        )
-        return ordered[index]
+        return percentile(self._recent, q)
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -438,22 +442,3 @@ class RuntimeMetrics(MetricsSink):
 
     def save_chrome_trace(self, path: Union[str, pathlib.Path]) -> None:
         pathlib.Path(path).write_text(json.dumps(self.to_chrome_trace()))
-
-
-class SessionMetrics(RuntimeMetrics):
-    """Deprecated pre-``MetricsSink`` name for :class:`RuntimeMetrics`.
-
-    One-release shim: constructing it still works (it *is* a
-    ``RuntimeMetrics``) but warns.  Construct :class:`RuntimeMetrics`
-    directly, or pass any :class:`repro.ops.sink.MetricsSink` to
-    ``AdaptiveSession(sink=...)``.
-    """
-
-    def __init__(self):
-        warnings.warn(
-            "SessionMetrics is deprecated; construct RuntimeMetrics or "
-            "pass a repro.ops.sink.MetricsSink to AdaptiveSession(sink=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__()

@@ -149,7 +149,7 @@ def test_check_scheduler_subset(capsys):
 
 def test_bench_scheduler_timings(capsys):
     assert main(
-        ["bench", "--smoke", "--no-reference", "--output", "",
+        ["bench", "--smoke", "--no-reference", "--metrics-out", "",
          "--scheduler", "greedy"]
     ) == 0
     out = capsys.readouterr().out
@@ -267,6 +267,16 @@ def test_collective_unknown_name(capsys):
     with pytest.raises(SystemExit):
         main(["collective", "--collective", "telepathy"])
     assert "known:" in capsys.readouterr().err
+
+
+def test_daemon_smoke_short_run(capsys, tmp_path):
+    # the acceptance run itself fails (FAIL: line, exit 1) on lost or
+    # dropped requests, an empty phase, no resume check, or divergence
+    assert main(
+        ["daemon", "--smoke", "--duration", "2", "--tenants", "8",
+         "--cohorts", "2", "--metrics-out", str(tmp_path / "daemon.json")]
+    ) == 0
+    assert "daemon smoke OK" in capsys.readouterr().out
 
 
 def test_ops_soak_smoke_and_report(capsys, tmp_path):

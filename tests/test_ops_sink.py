@@ -2,8 +2,7 @@
 
 The sink is the one publishing surface (emit / counter / observe /
 flush); these tests pin the protocol conformance of every
-implementation and the ``SessionMetrics -> RuntimeMetrics`` migration
-shim.
+implementation.
 """
 
 import dataclasses
@@ -20,7 +19,7 @@ from repro.ops.sink import (
     event_record,
 )
 from repro.ops.store import MetricsStore
-from repro.runtime.metrics import RuntimeMetrics, SessionMetrics, TickEvent
+from repro.runtime.metrics import RuntimeMetrics, TickEvent
 
 
 class Recorder(MetricsSink):
@@ -153,9 +152,3 @@ def test_runtime_metrics_is_a_sink():
     assert metrics.counter("ticks").value == 2
     metrics.observe("decision_latency_s", 0.5)
     assert metrics.histogram("decision_latency_s").count == 1
-
-
-def test_session_metrics_shim_warns_once_per_instance():
-    with pytest.warns(DeprecationWarning, match="RuntimeMetrics"):
-        shim = SessionMetrics()
-    assert isinstance(shim, RuntimeMetrics)

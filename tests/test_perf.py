@@ -172,7 +172,7 @@ class TestBenchCli:
 
         out = tmp_path / "bench.json"
         code = main([
-            "bench", "--smoke", "--sizes", "8", "--output", str(out),
+            "bench", "--smoke", "--sizes", "8", "--metrics-out", str(out),
         ])
         assert code == 0
         assert json.loads(out.read_text())["meta"]["smoke"] is True

@@ -2,14 +2,7 @@
 
 import json
 
-from repro.perf.regression import (
-    bench_regressions,
-    collectives_regressions,
-    drift_regressions,
-    load_bench,
-    scale_regressions,
-    soak_regressions,
-)
+from repro.perf.regression import bench_regressions, load_bench
 
 SCALE = {
     "meta": {"workload": "clustered"},
@@ -64,6 +57,11 @@ SOAK = {
 }
 
 
+def _guard(key, committed, fresh):
+    """Judge one fresh record against its committed baseline."""
+    return bench_regressions({key: committed}, {key: fresh})
+
+
 def _with(record, **overrides):
     out = json.loads(json.dumps(record))
     for dotted, value in overrides.items():
@@ -77,114 +75,123 @@ def _with(record, **overrides):
 
 class TestScaleRegressions:
     def test_identical_passes(self):
-        assert scale_regressions("scale_p1024", SCALE, SCALE) == []
+        assert _guard("scale_p1024", SCALE, SCALE) == []
 
     def test_quality_within_rtol_passes(self):
         fresh = _with(SCALE, hierarchical__ratio_to_lb=1.10 * 1.04)
-        assert scale_regressions("scale_p1024", SCALE, fresh) == []
+        assert _guard("scale_p1024", SCALE, fresh) == []
 
     def test_quality_regression_fails(self):
         fresh = _with(SCALE, hierarchical__ratio_to_lb=1.10 * 1.06)
-        problems = scale_regressions("scale_p1024", SCALE, fresh)
+        problems = _guard("scale_p1024", SCALE, fresh)
         assert len(problems) == 1
         assert "ratio_to_lb" in problems[0]
 
     def test_seconds_need_gross_regression(self):
         # 4x slower is machine noise; 6x is a real slowdown
-        assert scale_regressions(
-            "s", SCALE, _with(SCALE, openshop__seconds=24.0)
+        assert _guard(
+            "scale_p1024", SCALE, _with(SCALE, openshop__seconds=24.0)
         ) == []
-        problems = scale_regressions(
-            "s", SCALE, _with(SCALE, openshop__seconds=36.0)
+        problems = _guard(
+            "scale_p1024", SCALE, _with(SCALE, openshop__seconds=36.0)
         )
         assert len(problems) == 1 and "seconds" in problems[0]
 
     def test_missing_scheduler_reported(self):
         fresh = json.loads(json.dumps(SCALE))
         del fresh["openshop"]
-        problems = scale_regressions("s", SCALE, fresh)
+        problems = _guard("scale_p1024", SCALE, fresh)
         assert any("disappeared" in p for p in problems)
 
     def test_quality_improvement_passes(self):
         fresh = _with(SCALE, hierarchical__ratio_to_lb=1.02)
-        assert scale_regressions("s", SCALE, fresh) == []
+        assert _guard("scale_p1024", SCALE, fresh) == []
 
 
 class TestDriftRegressions:
     def test_identical_passes(self):
-        assert drift_regressions("drift_response_p1024", DRIFT, DRIFT) == []
+        assert _guard("drift_response_p1024", DRIFT, DRIFT) == []
 
     def test_makespan_ratio_is_tight(self):
         fresh = _with(DRIFT, makespan_ratio_max=1.05 * 1.06)
-        problems = drift_regressions("d", DRIFT, fresh)
+        problems = _guard("drift_response_p1024", DRIFT, fresh)
         assert len(problems) == 1 and "makespan_ratio_max" in problems[0]
 
     def test_speedup_gets_intermediate_slack(self):
         # 12x -> 5x survives (CI variance); 12x -> 3x fails
-        assert drift_regressions("d", DRIFT, _with(DRIFT, speedup_p50=5.0)) == []
-        problems = drift_regressions("d", DRIFT, _with(DRIFT, speedup_p50=3.0))
+        assert _guard(
+            "drift_response_p1024", DRIFT, _with(DRIFT, speedup_p50=5.0)
+        ) == []
+        problems = _guard(
+            "drift_response_p1024", DRIFT, _with(DRIFT, speedup_p50=3.0)
+        )
         assert len(problems) == 1 and "speedup_p50" in problems[0]
 
     def test_repair_latency_is_loose(self):
-        assert drift_regressions(
-            "d", DRIFT, _with(DRIFT, repair__p50_s=1.9)
+        assert _guard(
+            "drift_response_p1024", DRIFT, _with(DRIFT, repair__p50_s=1.9)
         ) == []
-        problems = drift_regressions(
-            "d", DRIFT, _with(DRIFT, repair__p50_s=2.5)
+        problems = _guard(
+            "drift_response_p1024", DRIFT, _with(DRIFT, repair__p50_s=2.5)
         )
         assert len(problems) == 1 and "repair p50" in problems[0]
 
 
 class TestCollectivesRegressions:
     def test_identical_passes(self):
-        assert collectives_regressions(
-            "collectives_p64", COLLECTIVES, COLLECTIVES
-        ) == []
-        assert collectives_regressions(
+        assert _guard("collectives_p64", COLLECTIVES, COLLECTIVES) == []
+        assert _guard(
             "collectives_allreduce_straggler_p512", STRAGGLER, STRAGGLER
         ) == []
 
     def test_completion_is_tight(self):
         fresh = _with(COLLECTIVES, broadcast_log__completion_s=1.2 * 1.06)
-        problems = collectives_regressions("c", COLLECTIVES, fresh)
+        problems = _guard("collectives_p64", COLLECTIVES, fresh)
         assert len(problems) == 1 and "completion_s" in problems[0]
 
     def test_planning_seconds_are_loose(self):
-        assert collectives_regressions(
-            "c", COLLECTIVES, _with(COLLECTIVES, broadcast_log__seconds=0.04)
+        assert _guard(
+            "collectives_p64", COLLECTIVES,
+            _with(COLLECTIVES, broadcast_log__seconds=0.04),
         ) == []
-        problems = collectives_regressions(
-            "c", COLLECTIVES, _with(COLLECTIVES, broadcast_log__seconds=0.06)
+        problems = _guard(
+            "collectives_p64", COLLECTIVES,
+            _with(COLLECTIVES, broadcast_log__seconds=0.06),
         )
         assert len(problems) == 1 and "seconds" in problems[0]
 
     def test_headline_ratio_must_not_drop(self):
         fresh = _with(COLLECTIVES, broadcast_log_vs_binomial=1.8 * 0.9)
-        problems = collectives_regressions("c", COLLECTIVES, fresh)
+        problems = _guard("collectives_p64", COLLECTIVES, fresh)
         assert len(problems) == 1
         assert "broadcast_log_vs_binomial" in problems[0]
         # improving is fine
-        assert collectives_regressions(
-            "c", COLLECTIVES, _with(COLLECTIVES, broadcast_log_vs_binomial=2.5)
+        assert _guard(
+            "collectives_p64", COLLECTIVES,
+            _with(COLLECTIVES, broadcast_log_vs_binomial=2.5),
         ) == []
 
     def test_disappeared_entry_reported(self):
         fresh = json.loads(json.dumps(COLLECTIVES))
         del fresh["allreduce_rs_ag"]
-        problems = collectives_regressions("c", COLLECTIVES, fresh)
+        problems = _guard("collectives_p64", COLLECTIVES, fresh)
         assert any("disappeared" in p for p in problems)
 
     def test_straggler_degradation_is_tight(self):
         fresh = _with(STRAGGLER, makespan__degradation_max=8.0 * 1.06)
-        problems = collectives_regressions("s", STRAGGLER, fresh)
+        problems = _guard(
+            "collectives_allreduce_straggler_p512", STRAGGLER, fresh
+        )
         assert len(problems) == 1 and "degradation_max" in problems[0]
 
     def test_tick_latency_is_loose(self):
-        assert collectives_regressions(
-            "s", STRAGGLER, _with(STRAGGLER, tick_latency__p50_s=0.01)
+        assert _guard(
+            "collectives_allreduce_straggler_p512", STRAGGLER,
+            _with(STRAGGLER, tick_latency__p50_s=0.01),
         ) == []
-        problems = collectives_regressions(
-            "s", STRAGGLER, _with(STRAGGLER, tick_latency__p50_s=0.02)
+        problems = _guard(
+            "collectives_allreduce_straggler_p512", STRAGGLER,
+            _with(STRAGGLER, tick_latency__p50_s=0.02),
         )
         assert len(problems) == 1 and "tick latency" in problems[0]
 
@@ -235,7 +242,7 @@ class TestBenchRegressions:
 
 class TestSoakRegressions:
     def test_identical_passes(self):
-        assert soak_regressions("soak_smoke", SOAK, SOAK) == []
+        assert _guard("soak_smoke", SOAK, SOAK) == []
 
     def test_guarantees_are_absolute(self):
         # each broken guarantee is reported regardless of the baseline
@@ -250,15 +257,15 @@ class TestSoakRegressions:
             ({"store__sealed_segments": 0}, "rotated"),
         ]:
             fresh = _with(SOAK, **override)
-            problems = soak_regressions("soak_smoke", SOAK, fresh)
+            problems = _guard("soak_smoke", SOAK, fresh)
             assert problems, f"override {override} not caught"
             assert any(needle in p for p in problems), (override, problems)
 
     def test_wall_time_is_loose(self):
         ok = _with(SOAK, wall_s=10.0)
-        assert soak_regressions("soak_smoke", SOAK, ok) == []
+        assert _guard("soak_smoke", SOAK, ok) == []
         slow = _with(SOAK, wall_s=30.0)
-        problems = soak_regressions("soak_smoke", SOAK, slow)
+        problems = _guard("soak_smoke", SOAK, slow)
         assert len(problems) == 1 and "wall time" in problems[0]
 
     def test_dispatched_by_prefix(self):
