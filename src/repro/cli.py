@@ -815,7 +815,7 @@ def _daemon_smoke(args: argparse.Namespace) -> int:
         f"phase 1: {report1.accepted} served at "
         f"{report1.requests_per_s:.0f} req/s "
         f"(p99 decision {report1.decision_p99_s * 1e3:.2f} ms, "
-        f"batched {report1.batched}, retried {report1.retried}, "
+        f"cache hits {report1.cache_hits}, retried {report1.retried}, "
         f"dropped {report1.dropped})"
     )
 
@@ -1143,11 +1143,12 @@ def _ops_parent() -> argparse.ArgumentParser:
     """The shared output-flag family every producing subcommand inherits.
 
     ``--ops-dir`` names one directory for everything a run persists
-    (metrics store, alerts, backups, reports); ``--metrics-out`` /
-    ``--trace-out`` name individual artifacts, resolved *under*
-    ``--ops-dir`` when both are given (see :func:`_resolve_output`).
-    Declared once here so ``serve``, ``daemon``, ``bench``, and ``ops``
-    stay flag-compatible.
+    (metrics store, alerts, backups, reports); ``--metrics-out`` names
+    the metrics artifact, resolved *under* ``--ops-dir`` when both are
+    given (see :func:`_resolve_output`).  Declared once here so
+    ``serve``, ``daemon``, ``bench``, and ``ops`` stay flag-compatible;
+    ``serve``, the one command that writes a Chrome trace, adds
+    ``--trace-out`` with the same rules.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
@@ -1158,11 +1159,6 @@ def _ops_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="metrics JSON output path ('' to skip; bare filenames land "
-             "under --ops-dir when set)",
-    )
-    parent.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="Chrome trace output path ('' to skip; bare filenames land "
              "under --ops-dir when set)",
     )
     return parent
@@ -1349,6 +1345,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive the online adaptive runtime over a drift trace",
     )
     p_serve.add_argument(
+        "--trace-out", default=None, metavar="PATH",
+        help="Chrome trace output path ('' to skip; bare filenames land "
+             "under --ops-dir when set)",
+    )
+    p_serve.add_argument(
         "--procs", type=int, default=None,
         help="processors in the drift trace (default: 12; 8 with --smoke)",
     )
@@ -1428,7 +1429,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_daemon.add_argument(
         "--batch-max", type=int, default=64,
-        help="max schedule requests drained per batching round",
+        help="max schedule requests served per event-loop round",
     )
     p_daemon.add_argument(
         "--state-file", default="",

@@ -619,11 +619,7 @@ def _daemon_payload(
             "p99_s": report.latency_p99_s,
         },
         "decisions": dict(report.decisions),
-        "batching": {
-            "batched": report.batched,
-            "cache_hits": report.cache_hits,
-            "daemon_batched": stats["counters"]["batched"],
-        },
+        "batching": {"cache_hits": report.cache_hits},
         "daemon": {
             "counters": dict(stats["counters"]),
             "cache": dict(stats["cache"]),
@@ -648,9 +644,9 @@ def run_daemon_load(
     Spins up a :class:`~repro.serve.SchedulerDaemon` on a temp unix
     socket and drives it with the closed-loop pipelined load generator
     (``tenants`` sessions over ``cohorts`` shared profiles, so
-    same-digest requests exercise cross-tenant batching).  Records
-    end-to-end req/s, daemon-side decision-latency percentiles, the
-    decision mix, and batching/cache effectiveness.  Lands under
+    same-digest requests share plans through the daemon-wide schedule
+    cache).  Records end-to-end req/s, daemon-side decision-latency
+    percentiles, the decision mix, and cache effectiveness.  Lands under
     ``extra["daemon_load_t{tenants}"]``.
     """
     report, stats = _drive_daemon(

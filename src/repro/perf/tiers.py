@@ -114,6 +114,17 @@ def _daemon(runner, prefix: str):
     return run
 
 
+#: Both daemon tiers: nothing lost or failed, and cohorts share plans.
+_DAEMON_GUARDS = (
+    Guard("throughput/dropped", "==", 0,
+          "rejections without a retry hint"),
+    Guard("throughput/errors", "==", 0),
+    Guard("daemon/counters/internal_errors", "==", 0),
+    Guard("daemon/cache/hit_rate", ">=", 0.5,
+          "cohort members stopped sharing plans"),
+)
+
+
 def _soak(p: Optional[int], *, seed: int, ops_dir=None) -> Records:
     return {"soak_smoke": run_soak_smoke(seed=seed, ops_dir=ops_dir)}
 
@@ -160,11 +171,11 @@ TIERS: Dict[str, Tier] = {tier.name: tier for tier in (
     ),
     Tier(
         "daemon", "daemon_load_t",
-        _daemon(run_daemon_load, "daemon_load_t"), (),
+        _daemon(run_daemon_load, "daemon_load_t"), _DAEMON_GUARDS,
     ),
     Tier(
         "ps-fanin", "daemon_ps_fanin_t",
-        _daemon(run_daemon_ps_fanin, "daemon_ps_fanin_t"), (),
+        _daemon(run_daemon_ps_fanin, "daemon_ps_fanin_t"), _DAEMON_GUARDS,
     ),
     Tier(
         "soak", "soak_", _soak,

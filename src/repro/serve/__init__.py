@@ -16,17 +16,16 @@ Layers
 :mod:`repro.serve.tenants`
     Per-tenant state: a :class:`~repro.serve.tenants.TenantProfile`
     (spec strings for scheduler / directory / workload, all parsed by
-    the one grammar in :mod:`repro.util.spec`), the session it builds,
-    and a :class:`~repro.serve.tenants.ShardedScheduleCache` so hot
-    tenants cannot evict each other's plans.
+    the one grammar in :mod:`repro.util.spec`) and the session it
+    builds.
 :mod:`repro.serve.state`
     Session snapshot + restore: the daemon drains to a JSON state file
     and a restarted daemon resumes every tenant bit-identically.
 :mod:`repro.serve.daemon`
     The event loop: a unix socket (TCP optional), a bounded request
     queue with admission control (reject-with-retry-after when
-    saturated), batched scheduling of same-digest requests across
-    tenants, backpressure signalling, graceful drain/restart.
+    saturated), one daemon-wide schedule cache that same-digest tenants
+    share, backpressure signalling, graceful drain/restart.
 :mod:`repro.serve.client`
     Typed sync client plus the load generator the bench and CI drive.
 """
@@ -49,7 +48,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.state import restore_session_state, session_state
 from repro.serve.tenants import (
-    ShardedScheduleCache,
     TenantProfile,
     TenantState,
     make_workload_sizes,
@@ -66,7 +64,6 @@ __all__ = [
     "ScheduleRequest",
     "ScheduleResponse",
     "SchedulerDaemon",
-    "ShardedScheduleCache",
     "TenantProfile",
     "TenantState",
     "decode_request",

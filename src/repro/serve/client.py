@@ -7,7 +7,7 @@ callers can implement their own backoff.
 
 :class:`LoadGenerator` is the closed-loop driver CI and the bench use:
 ``tenants`` simulated clients drawn from a small number of *cohorts*
-(same procs/seed/specs), so the daemon's same-digest batching has
+(same procs/seed/specs), so the daemon-wide schedule cache has
 cross-tenant hits to find, issuing schedule requests as fast as the
 daemon answers and honouring every ``retry_after_s`` hint.  Its
 :class:`LoadReport` is the contract the acceptance bar checks: requests
@@ -188,7 +188,6 @@ class LoadReport:
     latency_p50_s: float
     latency_p99_s: float
     decisions: Dict[str, int] = field(default_factory=dict)
-    batched: int = 0
     cache_hits: int = 0
     backpressured: int = 0
 
@@ -208,7 +207,6 @@ class LoadReport:
             "latency_p50_s": self.latency_p50_s,
             "latency_p99_s": self.latency_p99_s,
             "decisions": dict(self.decisions),
-            "batched": self.batched,
             "cache_hits": self.cache_hits,
             "backpressured": self.backpressured,
         }
@@ -219,8 +217,8 @@ class LoadGenerator:
 
     ``tenants`` ids are spread over ``cohorts`` identical profiles
     (procs/scheduler/directory/workload/seed all shared within a
-    cohort), so concurrent same-cohort requests share a planning-problem
-    digest and exercise the daemon's cross-tenant batching.
+    cohort), so same-cohort requests share a planning-problem digest
+    and hit each other's plans in the daemon-wide schedule cache.
     """
 
     def __init__(
@@ -305,15 +303,14 @@ class LoadGenerator:
             DaemonClient(self.address, timeout_s=self.timeout_s)
             for _ in range(self.connections)
         ]
-        # Same-cohort tenants are issued as one pipelined burst so their
-        # same-digest requests sit in the daemon's queue together — that
-        # is what cross-tenant batching feeds on.  Bursting also keeps a
-        # cohort's clocks in lockstep (every member sees every round).
+        # Same-cohort tenants are issued as one pipelined burst, which
+        # keeps a cohort's clocks in lockstep (every member sees every
+        # round) so members keep sharing plans through the cache.
         cohort_members: List[List[str]] = [[] for _ in range(self.cohorts)]
         for index, tenant in enumerate(self.tenant_ids()):
             cohort_members[index % self.cohorts].append(tenant)
         requests = accepted = retried = dropped = errors = 0
-        batched = cache_hits = backpressured = 0
+        cache_hits = backpressured = 0
         decisions: Dict[str, int] = {}
         decision_latencies: List[float] = []
         wire_latencies: List[float] = []
@@ -363,8 +360,6 @@ class LoadGenerator:
                         decision_latencies.append(
                             response.decision_latency_s
                         )
-                        if response.batched:
-                            batched += 1
                         if response.cache_hit:
                             cache_hits += 1
                         if response.backpressure:
@@ -395,7 +390,6 @@ class LoadGenerator:
             latency_p50_s=percentile(wire_latencies, 50.0),
             latency_p99_s=percentile(wire_latencies, 99.0),
             decisions=decisions,
-            batched=batched,
             cache_hits=cache_hits,
             backpressured=backpressured,
         )

@@ -4,9 +4,9 @@
 :class:`~repro.runtime.session.AdaptiveSession` over a line-delimited
 JSON protocol (:mod:`repro.serve.protocol`) on a unix socket (TCP
 optional).  The loop is deliberately single-threaded: scheduling work
-is CPU-bound and shares the cache shards, so a second thread would buy
-contention, not throughput — concurrency comes from the bounded queue
-and batching instead.
+is CPU-bound and shares one schedule cache, so a second thread would
+buy contention, not throughput — concurrency comes from the bounded
+queue instead.
 
 Load-shedding story, in order:
 
@@ -18,11 +18,14 @@ Load-shedding story, in order:
    the queue depth and a ``backpressure`` flag once the queue crosses
    the high watermark, so well-behaved clients slow down *before*
    hitting admission control.
-3. **Cross-tenant batching.**  Queued requests are drained in batches
-   and grouped by planning-problem digest: tenants in the same cohort
-   (same specs, same seed, same clock) need the same schedule, so one
-   leader computes it and donates it to every follower's cache shard —
-   N scheduler invocations become 1 + (N-1) cache hits.
+
+Cross-tenant sharing needs no mechanism of its own.  A schedule depends
+only on the planning problem, and every tenant plans through one
+daemon-wide :class:`~repro.perf.memo.ScheduleCache` keyed by problem
+digest and scheduler: tenants in the same cohort (same specs, same
+seed, same clock) read the same directory state, so the first member
+to tick computes the plan and every later member gets it as an
+ordinary cache hit, reported as ``batched`` in its response.
 
 Drain/restart: ``drain`` stops admission, flushes the queue, then
 snapshots every tenant (:mod:`repro.serve.state`) to a JSON state file;
@@ -46,6 +49,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.ops.backup import BackupManager
 from repro.ops.sink import MetricsSink, MultiSink, StoreSink
 from repro.ops.store import MetricsStore
+from repro.perf.memo import ScheduleCache
 from repro.runtime.metrics import RuntimeMetrics
 from repro.serve import protocol
 from repro.serve.protocol import (
@@ -67,7 +71,7 @@ from repro.serve.protocol import (
     StatsResponse,
     encode_message,
 )
-from repro.serve.tenants import ShardedScheduleCache, TenantProfile, TenantState
+from repro.serve.tenants import TenantProfile, TenantState
 
 #: Format tag of the daemon's drain/snapshot state file.
 DAEMON_STATE_FORMAT = "repro/daemon-state"
@@ -89,12 +93,8 @@ class DaemonConfig:
     high_watermark: float = 0.75
     #: Backoff hint attached to saturated/draining rejections.
     retry_after_s: float = 0.05
-    #: Max schedule requests drained per batching round.
+    #: Max schedule requests served per event-loop round.
     batch_max: int = 64
-    #: Cache shards (tenants hash onto these).
-    cache_shards: int = 8
-    #: LRU capacity of each shard.
-    cache_maxsize_per_shard: int = 256
     #: Default drain/snapshot target.
     state_file: str = ""
     #: Resume source: a state file written by a previous drain.
@@ -113,13 +113,16 @@ class DaemonConfig:
 class _Connection:
     """Per-client buffers."""
 
-    __slots__ = ("sock", "inbuf", "outbuf", "closing")
+    __slots__ = ("sock", "inbuf", "outbuf", "closing", "writing")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.inbuf = bytearray()
         self.outbuf = bytearray()
         self.closing = False
+        #: Registered for ``EVENT_WRITE`` (only while ``outbuf`` holds
+        #: bytes: a writable idle socket would wake the loop forever).
+        self.writing = False
 
 
 class SchedulerDaemon:
@@ -133,10 +136,13 @@ class SchedulerDaemon:
         "rejected_draining",
         "protocol_errors",
         "internal_errors",
-        "batched",
+        "batched",  # responses answered from the daemon-wide cache
         "opened",
         "restored",
     )
+
+    #: LRU capacity of the daemon-wide schedule cache.
+    CACHE_MAXSIZE = 2048
 
     def __init__(
         self,
@@ -145,10 +151,7 @@ class SchedulerDaemon:
         sink: Optional[MetricsSink] = None,
     ):
         self.config = config if config is not None else DaemonConfig()
-        self.cache = ShardedScheduleCache(
-            self.config.cache_shards,
-            maxsize_per_shard=self.config.cache_maxsize_per_shard,
-        )
+        self.cache = ScheduleCache(maxsize=self.CACHE_MAXSIZE)
         self.tenants: Dict[str, TenantState] = {}
         self._queue: Deque[Tuple[_Connection, ScheduleRequest]] = deque()
         self._selector: Optional[selectors.BaseSelector] = None
@@ -288,10 +291,7 @@ class SchedulerDaemon:
         except BlockingIOError:
             return
         sock.setblocking(False)
-        conn = _Connection(sock)
-        self._selector.register(
-            sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn
-        )
+        self._selector.register(sock, selectors.EVENT_READ, _Connection(sock))
 
     def _close(self, conn: _Connection) -> None:
         assert self._selector is not None
@@ -346,20 +346,29 @@ class SchedulerDaemon:
         conn.outbuf.extend(encode_message(message))
 
     def _flush(self, conn: _Connection) -> None:
-        if not conn.outbuf:
-            if conn.closing:
+        if conn.outbuf:
+            try:
+                sent = conn.sock.send(conn.outbuf)
+                del conn.outbuf[:sent]
+            except BlockingIOError:
+                pass
+            except OSError:
                 self._close(conn)
-            return
-        try:
-            sent = conn.sock.send(bytes(conn.outbuf))
-            del conn.outbuf[:sent]
-        except BlockingIOError:
-            return
-        except OSError:
-            self._close(conn)
-            return
+                return
         if conn.closing and not conn.outbuf:
             self._close(conn)
+            return
+        writing = bool(conn.outbuf)
+        if writing != conn.writing:
+            assert self._selector is not None
+            events = selectors.EVENT_READ
+            if writing:
+                events |= selectors.EVENT_WRITE
+            try:
+                self._selector.modify(conn.sock, events, conn)
+            except (KeyError, ValueError):
+                return  # already closed
+            conn.writing = writing
 
     # -- request handling ---------------------------------------------------
 
@@ -482,9 +491,7 @@ class SchedulerDaemon:
             policy=dict(request.policy),
         )
         try:
-            state = TenantState(
-                profile, cache=self.cache.shard_for(request.tenant)
-            )
+            state = TenantState(profile, cache=self.cache)
         except (KeyError, ValueError, TypeError) as exc:
             return ErrorResponse(
                 "malformed", f"cannot open tenant: {exc}"
@@ -495,7 +502,7 @@ class SchedulerDaemon:
             tenant=request.tenant, procs=state.directory.num_procs
         )
 
-    # -- batched scheduling -------------------------------------------------
+    # -- scheduling -------------------------------------------------------
 
     def _process_queue(self, flush_all: bool = False) -> None:
         while self._queue:
@@ -509,76 +516,17 @@ class SchedulerDaemon:
     def _run_batch(
         self, batch: List[Tuple[_Connection, ScheduleRequest]]
     ) -> None:
-        # Phase 1: advance every tenant's clock, probe the planning
-        # problem where that is safe, and group by digest.
-        groups: Dict[str, List[Tuple[_Connection, ScheduleRequest, Any]]] = {}
-        singles: List[Tuple[_Connection, ScheduleRequest]] = []
-        advanced: set = set()
+        """Tick each queued request in arrival order."""
         for conn, request in batch:
-            state = self.tenants.get(request.tenant)
-            if state is None:
-                self._send(
-                    conn,
-                    ErrorResponse(
-                        "unknown_tenant",
-                        f"tenant {request.tenant!r} has no open session",
-                    ),
-                )
-                continue
-            if not state.batchable:
-                singles.append((conn, request))
-                continue
-            # One tenant may appear twice in a batch; advance once per
-            # queue entry, in order, exactly as sequential ticks would.
-            if request.dt and request.tenant in advanced:
-                # Second tick of the same tenant in one batch: run it
-                # unbatched to keep per-tenant ordering trivially right.
-                singles.append((conn, request))
-                continue
-            advanced.add(request.tenant)
-            if request.dt:
-                state.directory.advance(request.dt)
-            problem = state.planning_problem()
-            digest = state.planning_digest(problem)
-            key = f"{digest}:{state.session.scheduler_name}"
-            groups.setdefault(key, []).append((conn, request, problem))
-        for members in groups.values():
-            self._run_group(members)
-        for conn, request in singles:
-            self._respond_tick(
-                conn, request, dt=request.dt, batched=False
-            )
-
-    def _run_group(
-        self, members: List[Tuple[_Connection, ScheduleRequest, Any]]
-    ) -> None:
-        """Tick a same-digest cohort: leader computes, followers hit."""
-        leader_conn, leader_req, leader_problem = members[0]
-        batched = len(members) > 1
-        self._respond_tick(leader_conn, leader_req, dt=0.0, batched=batched)
-        plan = None
-        if batched:
-            leader_state = self.tenants[leader_req.tenant]
-            plan = leader_state.lookup_plan(leader_problem)
-        for conn, request, problem in members[1:]:
-            state = self.tenants[request.tenant]
-            if plan is not None:
-                state.seed_plan(problem, plan)
-                self._count("batched")
-            self._respond_tick(conn, request, dt=0.0, batched=True)
+            self._respond_tick(conn, request)
 
     def _respond_tick(
-        self,
-        conn: _Connection,
-        request: ScheduleRequest,
-        *,
-        dt: float,
-        batched: bool,
+        self, conn: _Connection, request: ScheduleRequest
     ) -> None:
         state = self.tenants[request.tenant]
         started = time.monotonic()
         try:
-            result = state.session.tick(dt=dt)
+            result = state.session.tick(dt=request.dt)
         except Exception as exc:  # noqa: BLE001 — serving must not die
             self._count("internal_errors")
             self._send(
@@ -592,6 +540,8 @@ class SchedulerDaemon:
         state.requests_served += 1
         self._count("served")
         event = result.event
+        if event.cache_hit:
+            self._count("batched")
         depth = len(self._queue)
         backpressure = (
             depth >= self.config.high_watermark * self.config.max_queue
@@ -607,7 +557,7 @@ class SchedulerDaemon:
                 regret_s=event.regret,
                 cache_hit=event.cache_hit,
                 fallback=event.fallback,
-                batched=batched,
+                batched=event.cache_hit,
                 decision_latency_s=latency,
                 queue_depth=depth,
                 backpressure=backpressure,
@@ -621,7 +571,6 @@ class SchedulerDaemon:
                 "decision": event.decision,
                 "fallback": event.fallback,
                 "cache_hit": event.cache_hit,
-                "batched": batched,
                 "decision_latency_s": latency,
                 "queue_depth": depth,
                 "backpressure": backpressure,
@@ -668,7 +617,7 @@ class SchedulerDaemon:
         for entry in payload.get("tenants", []):
             tenant = str(entry["profile"]["tenant"])
             self.tenants[tenant] = TenantState.restore(
-                entry, cache=self.cache.shard_for(tenant)
+                entry, cache=self.cache
             )
             self._count("restored")
 

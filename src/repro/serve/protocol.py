@@ -104,7 +104,7 @@ class ScheduleRequest:
 
 @dataclass(frozen=True)
 class StatsRequest:
-    """Daemon-wide counters, queue state and per-shard cache stats."""
+    """Daemon-wide counters, queue state and schedule-cache stats."""
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,8 @@ class ScheduleResponse:
     regret_s: float
     cache_hit: bool = False
     fallback: bool = False
+    #: Answered from the daemon-wide schedule cache, which every tenant
+    #: shares; equals ``cache_hit`` (kept for protocol v1 clients).
     batched: bool = False
     decision_latency_s: float = 0.0
     queue_depth: int = 0

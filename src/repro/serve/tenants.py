@@ -6,17 +6,14 @@ A tenant is one client workload with its own session: a
 :class:`TenantState` owns the live
 :class:`~repro.runtime.session.AdaptiveSession` built from it.
 
-Cache isolation is per-shard, not per-tenant:
-:class:`ShardedScheduleCache` hashes the tenant id onto a small fixed
-set of :class:`~repro.perf.memo.ScheduleCache` shards, so a hot tenant
-thrashing its shard cannot evict every other tenant's plans, while
-tenants that share a shard *and* a problem digest still hit each
-other's entries — which is exactly what cross-tenant batching exploits.
+Every tenant of one daemon plans through the same
+:class:`~repro.perf.memo.ScheduleCache`, passed in as ``cache``: its
+key is the problem digest and the scheduler, so tenants that read the
+same directory state share each other's plans.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -24,8 +21,7 @@ import numpy as np
 
 from repro.directory.factory import make_directory
 from repro.model.messages import MixedSizes, UniformSizes
-from repro.core.problem import TotalExchangeProblem
-from repro.perf.memo import ScheduleCache, problem_digest
+from repro.perf.memo import ScheduleCache
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.policy import PolicyConfig
 from repro.runtime.session import AdaptiveSession
@@ -120,39 +116,6 @@ class TenantProfile:
         )
 
 
-class ShardedScheduleCache:
-    """A fixed set of :class:`ScheduleCache` shards keyed by tenant id.
-
-    The shard index is a stable CRC of the tenant string, so the same
-    tenant always lands on the same shard — across connections and
-    across daemon restarts.
-    """
-
-    def __init__(self, num_shards: int = 8, *, maxsize_per_shard: int = 256):
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        self.num_shards = int(num_shards)
-        self._shards = [
-            ScheduleCache(maxsize=maxsize_per_shard)
-            for _ in range(self.num_shards)
-        ]
-
-    def shard_index(self, tenant: str) -> int:
-        return zlib.crc32(tenant.encode("utf-8")) % self.num_shards
-
-    def shard_for(self, tenant: str) -> ScheduleCache:
-        return self._shards[self.shard_index(tenant)]
-
-    def stats(self) -> Dict[str, Any]:
-        per_shard = [shard.stats() for shard in self._shards]
-        totals: Dict[str, Any] = {"shards": self.num_shards}
-        for key in ("hits", "misses", "entries"):
-            totals[key] = sum(int(s.get(key, 0)) for s in per_shard)
-        lookups = totals["hits"] + totals["misses"]
-        totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
-        return totals
-
-
 class TenantState:
     """One tenant's live session plus its serving counters."""
 
@@ -183,47 +146,6 @@ class TenantState:
         )
         self.requests_served = 0
         self.restored = False
-
-    # -- cross-tenant batching hooks ----------------------------------------
-
-    @property
-    def batchable(self) -> bool:
-        """Safe to probe the planning problem outside a tick.
-
-        Deterministic directories answer ``snapshot()`` as a pure
-        function of time; RNG-backed flavours (``noisy``/``perturb``)
-        redraw per query, so probing them would change the stream the
-        session sees and is disabled.
-        """
-        return self.profile.directory_flavour in RESUMABLE_FLAVOURS
-
-    def planning_problem(self) -> TotalExchangeProblem:
-        """The instance this tenant's *next* tick will plan against
-        (valid only after the directory has been advanced)."""
-        return TotalExchangeProblem.from_snapshot(
-            self.directory.snapshot(), self.sizes
-        )
-
-    def planning_digest(self, problem: TotalExchangeProblem) -> str:
-        return problem_digest(problem)
-
-    def lookup_plan(self, problem: TotalExchangeProblem):
-        """This tenant's cached schedule for ``problem``, if any."""
-        return self.session.cache.lookup(
-            problem,
-            self.session._scheduler,
-            name=self.session.scheduler_name,
-        )
-
-    def seed_plan(self, problem: TotalExchangeProblem, schedule) -> None:
-        """Donate a schedule computed by a same-digest cohort leader, so
-        this tenant's reschedule becomes a cache hit."""
-        self.session.cache.put(
-            problem,
-            self.session._scheduler,
-            schedule,
-            name=self.session.scheduler_name,
-        )
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe state: profile + session internals + clock."""

@@ -157,6 +157,14 @@ def test_bench_scheduler_timings(capsys):
     assert "greedy" in out
 
 
+def test_trace_out_is_a_serve_flag_only(capsys):
+    # bench writes no Chrome trace, so it must not accept the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--smoke", "--metrics-out", "", "--trace-out", "x"])
+    assert exc.value.code == 2
+    assert "--trace-out" in capsys.readouterr().err
+
+
 def test_serve_smoke_covers_all_decisions(capsys, tmp_path):
     import json
 
