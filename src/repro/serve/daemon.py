@@ -18,6 +18,13 @@ Load-shedding story, in order:
    the queue depth and a ``backpressure`` flag once the queue crosses
    the high watermark, so well-behaved clients slow down *before*
    hitting admission control.
+3. **Bounded output.**  A client that pipelines without reading its
+   responses cannot grow the daemon's memory: once a connection holds
+   more than :attr:`SchedulerDaemon.OUTBUF_CAP` unsent bytes the daemon
+   stops reading from it, and answers every request it still parses
+   from it with ``error/saturated``.  The buffer can exceed the cap by
+   at most the answers to one read plus the responses to requests
+   already queued.
 
 Cross-tenant sharing needs no mechanism of its own.  A schedule depends
 only on the planning problem, and every tenant plans through one
@@ -113,16 +120,18 @@ class DaemonConfig:
 class _Connection:
     """Per-client buffers."""
 
-    __slots__ = ("sock", "inbuf", "outbuf", "closing", "writing")
+    __slots__ = ("sock", "inbuf", "outbuf", "closing", "events")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.inbuf = bytearray()
         self.outbuf = bytearray()
         self.closing = False
-        #: Registered for ``EVENT_WRITE`` (only while ``outbuf`` holds
-        #: bytes: a writable idle socket would wake the loop forever).
-        self.writing = False
+        #: Selector events the socket is registered for: ``EVENT_WRITE``
+        #: only while ``outbuf`` holds bytes (a writable idle socket
+        #: would wake the loop forever), ``EVENT_READ`` only while
+        #: ``outbuf`` is within :attr:`SchedulerDaemon.OUTBUF_CAP`.
+        self.events = selectors.EVENT_READ
 
 
 class SchedulerDaemon:
@@ -143,6 +152,11 @@ class SchedulerDaemon:
 
     #: LRU capacity of the daemon-wide schedule cache.
     CACHE_MAXSIZE = 2048
+    #: Unsent bytes a connection may hold before the daemon stops
+    #: reading from it and sheds its further requests as ``saturated``.
+    OUTBUF_CAP = 1 << 20
+    #: Bytes read from a connection per readable event.
+    RECV_BYTES = 65536
 
     def __init__(
         self,
@@ -306,8 +320,12 @@ class SchedulerDaemon:
         )
 
     def _service(self, conn: _Connection) -> None:
+        if len(conn.outbuf) > self.OUTBUF_CAP:
+            # Registered for EVENT_WRITE only: drain, read nothing.
+            self._flush(conn)
+            return
         try:
-            chunk = conn.sock.recv(65536)
+            chunk = conn.sock.recv(self.RECV_BYTES)
         except BlockingIOError:
             chunk = None
         except OSError:
@@ -338,7 +356,16 @@ class SchedulerDaemon:
                     break
                 line = bytes(conn.inbuf[:newline])
                 del conn.inbuf[: newline + 1]
-                if line.strip():
+                if not line.strip():
+                    continue
+                if len(conn.outbuf) > self.OUTBUF_CAP:
+                    self._reject(
+                        conn,
+                        "saturated",
+                        f"connection holds over {self.OUTBUF_CAP} bytes "
+                        f"of unread responses",
+                    )
+                else:
                     self._handle_line(conn, line)
         self._flush(conn)
 
@@ -358,17 +385,18 @@ class SchedulerDaemon:
         if conn.closing and not conn.outbuf:
             self._close(conn)
             return
-        writing = bool(conn.outbuf)
-        if writing != conn.writing:
+        events = 0
+        if conn.outbuf:
+            events |= selectors.EVENT_WRITE
+        if len(conn.outbuf) <= self.OUTBUF_CAP:
+            events |= selectors.EVENT_READ
+        if events != conn.events:
             assert self._selector is not None
-            events = selectors.EVENT_READ
-            if writing:
-                events |= selectors.EVENT_WRITE
             try:
                 self._selector.modify(conn.sock, events, conn)
             except (KeyError, ValueError):
                 return  # already closed
-            conn.writing = writing
+            conn.events = events
 
     # -- request handling ---------------------------------------------------
 

@@ -16,13 +16,16 @@ Semantics (paper Sections 3.2 and 4.3):
 The simulation is deterministic, so a given ``(cost, orders)`` always
 yields the same schedule.
 
-The executors are the innermost hot path of every sweep, so they avoid
-per-event numpy scalar indexing and unsorted event emission: the
-event-driven executor works on nested Python lists and plain field
-tuples sorted *before* :class:`CommEvent` construction (tuple sort is
-C-speed; sorting dataclasses is not), while the step executors relax
-whole steps at a time with vectorized ``maximum`` updates and emit
-column arrays straight into a lazily-materialised schedule.
+The executors are the innermost hot path of every sweep and of every
+serving tick, so none of them builds a per-event Python object: the
+event-driven executor flattens the orders into ``src``/``dst`` columns,
+gathers their costs in one numpy operation, runs its heap loop over
+flat Python lists and writes each start at the event's position in the
+flattened orders, while the step executors relax whole steps at a time
+with vectorized ``maximum`` updates.  Both emit column arrays straight
+into a lazily-materialised schedule, so makespan queries stay
+vectorised and :class:`CommEvent` objects exist only if somebody reads
+the schedule event by event.
 ``tests/test_golden_equivalence.py`` pins these kernels to the seed
 implementations preserved in :mod:`repro.perf.reference`.
 """
@@ -30,6 +33,7 @@ implementations preserved in :mod:`repro.perf.reference`.
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate, chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +42,7 @@ from repro.core.problem import TotalExchangeProblem
 from repro.timing.events import (
     Schedule,
     schedule_from_columns,
-    schedule_from_sorted_fields,
+    schedule_from_unsorted_columns,
 )
 from repro.util.validation import check_square_matrix
 
@@ -109,20 +113,6 @@ def check_orders(
     raise AssertionError("check_orders: vectorized and scalar walks disagree")
 
 
-def _schedule_from_fields(n: int, fields: List[tuple]) -> Schedule:
-    """Build a schedule from ``(start, src, dst, duration, size)`` tuples.
-
-    Tuple sort is C-speed and tuple lexicographic order equals
-    :class:`CommEvent` order, so after sorting here the trusted
-    constructor can skip the dataclass-level sort and validation.  The
-    executors guarantee the remaining invariants: indices come from
-    validated orders/steps and starts/durations are built from
-    non-negative cost entries.
-    """
-    fields.sort()
-    return schedule_from_sorted_fields(n, fields)
-
-
 def execute_orders_on_cost(
     cost: np.ndarray,
     orders: Sequence[Sequence[int]],
@@ -136,81 +126,71 @@ def execute_orders_on_cost(
         check_orders(orders, cost, require_coverage=False)
     n = cost.shape[0]
 
-    # Hot-loop state as plain Python structures: nested float lists for
-    # O(1) scalar access without numpy boxing, and (time, src) heap
-    # entries — a sender has at most one outstanding request, so its
-    # pending destination/duration live in per-sender slots instead of
-    # being carried through the heap.
-    cost_rows = cost.tolist()
+    # One event per flattened order entry: sender ``src``'s messages
+    # occupy positions ``[ends[src] - lengths[src], ends[src])`` in
+    # dispatch order.
+    # Durations are gathered in one numpy operation; adding 0.0 turns a
+    # ``-0.0`` cost into the exact ``0.0`` every free event carries and
+    # leaves every other entry unchanged.
+    lengths = [len(dsts) for dsts in orders]
+    ends = list(accumulate(lengths))
+    total = sum(lengths)
+    dst_col = np.fromiter(
+        chain.from_iterable(orders), dtype=np.intp, count=total
+    )
+    src_col = np.repeat(np.arange(n, dtype=np.intp), lengths)
+    durations = cost[src_col, dst_col] + 0.0
     if sizes is not None:
-        size_rows = np.asarray(sizes, dtype=float).tolist()
+        event_sizes = np.asarray(sizes, dtype=float)[src_col, dst_col]
     else:
-        # Shared zero row: keeps the hot loop branch-free on sizes.
-        size_rows = [[0.0] * n] * n
-    order_lists = [list(dsts) for dsts in orders]
-    order_lens = [len(dsts) for dsts in order_lists]
-    next_index = [0] * n
+        event_sizes = np.zeros(total)
+
+    # Hot-loop state as flat Python lists (no numpy scalar boxing) and
+    # ``(time, src, position)`` heap entries: a sender has at most one
+    # outstanding request, so ``(time, src)`` alone orders the heap and
+    # the request's position in the flat columns rides along.  Each
+    # event's start is written at its position; free events before a
+    # sender's first positive send keep the preset 0.0, later ones take
+    # the sender's clock.
+    dst_list = dst_col.tolist()
+    dur_list = durations.tolist()
+    starts = [0.0] * total
     recv_free = [0.0] * n
-    pending_dst = [0] * n
-    pending_duration = [0.0] * n
-    fields: List[tuple] = []
-    fields_append = fields.append
-
-    heap: List[Tuple[float, int]] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    def push_request(src: int, at_time: float) -> None:
-        """Queue sender ``src``'s next message, emitting free events inline."""
-        dsts = order_lists[src]
-        row = cost_rows[src]
-        idx = next_index[src]
-        while idx < len(dsts):
-            dst = dsts[idx]
+    heap: List[Tuple[float, int, int]] = []
+    for src, end in enumerate(ends):
+        idx = end - lengths[src]
+        while idx < end and dur_list[idx] <= 0.0:
             idx += 1
-            duration = row[dst]
-            if duration > 0.0:
-                next_index[src] = idx
-                pending_dst[src] = dst
-                pending_duration[src] = duration
-                heappush(heap, (at_time, src))
-                return
-            fields_append((at_time, src, dst, 0.0, size_rows[src][dst]))
-        next_index[src] = idx
+        if idx < end:
+            heap.append((0.0, src, idx))  # ascending src: already a heap
 
-    for src in range(n):
-        push_request(src, 0.0)
-
-    # Event loop with push_request's body inlined: one Python function
-    # call per event is measurable at 65k+ events.
+    # The earliest request is served in place: ``heapreplace`` swaps the
+    # sender's next request in with one sift instead of a pop and a push.
+    heapreplace = heapq.heapreplace
+    heappop = heapq.heappop
     while heap:
-        request_time, src = heappop(heap)
-        dst = pending_dst[src]
-        duration = pending_duration[src]
+        request_time, src, idx = heap[0]
+        dst = dst_list[idx]
         ready = recv_free[dst]
         start = request_time if request_time >= ready else ready
-        finish = start + duration
+        finish = start + dur_list[idx]
         recv_free[dst] = finish
-        fields_append((start, src, dst, duration, size_rows[src][dst]))
-        dsts = order_lists[src]
-        row = cost_rows[src]
-        idx = next_index[src]
-        remaining = order_lens[src]
-        while idx < remaining:
-            dst = dsts[idx]
-            idx += 1
-            duration = row[dst]
-            if duration > 0.0:
-                next_index[src] = idx
-                pending_dst[src] = dst
-                pending_duration[src] = duration
-                heappush(heap, (finish, src))
+        starts[idx] = start
+        idx += 1
+        end = ends[src]
+        while idx < end:
+            if dur_list[idx] > 0.0:
+                heapreplace(heap, (finish, src, idx))
                 break
-            fields_append((finish, src, dst, 0.0, size_rows[src][dst]))
+            starts[idx] = finish
+            idx += 1
         else:
-            next_index[src] = idx
+            heappop(heap)
 
-    return _schedule_from_fields(n, fields)
+    return schedule_from_unsorted_columns(
+        n, np.array(starts, dtype=float), src_col, dst_col, durations,
+        event_sizes,
+    )
 
 
 def execute_orders(

@@ -77,14 +77,15 @@ class Schedule:
     schedules compare equal regardless of construction order.
 
     Schedules built by the trusted constructors
-    (:func:`schedule_from_sorted_fields`, :func:`schedule_from_columns`)
-    hold their event data in raw form and materialise the
-    :class:`CommEvent` tuple only when ``events`` is first read.  All
-    behaviour is unchanged — equality, iteration, hashing and every
-    accessor see the same tuple — but makespan-style consumers
-    (:attr:`completion_time`, ``len``) read the raw form directly, so a
-    sweep that only scores schedules never pays the per-event object
-    cost.
+    (:func:`schedule_from_fields`, :func:`schedule_from_columns`,
+    :func:`schedule_from_unsorted_columns`) hold their event data in raw
+    form and materialise the :class:`CommEvent` tuple only when
+    ``events`` is first read.  All behaviour is unchanged — equality,
+    iteration, hashing and every accessor see the same tuple — but
+    makespan-style consumers (:attr:`completion_time`, ``len``,
+    :meth:`send_orders`) read the raw form directly, so a sweep that
+    only scores schedules, or a serving tick that re-executes a plan,
+    never pays the per-event object cost.
     """
 
     num_procs: int
@@ -147,7 +148,7 @@ class Schedule:
                 starts, _, _, durations, _ = data
                 if len(starts) == 0:
                     return 0.0
-                return float(np.max(starts + durations))
+                return float((starts + durations).max())
             return max(
                 (start + duration for start, _, _, duration, _ in data),
                 default=0.0,
@@ -167,8 +168,23 @@ class Schedule:
 
         This recovers the *order-based* form of the schedule, suitable for
         re-execution under different network conditions via
-        :func:`repro.sim.engine.execute_orders`.
+        :func:`repro.sim.engine.execute_orders`.  A column-form schedule
+        answers from its columns: a lexsort by ``(src, start, dst)``
+        gives each sender's events in the order the sorted event tuple
+        lists them, without building the events.
         """
+        pending = self.__dict__.get("_pending")
+        if pending is not None and pending[0].endswith("columns"):
+            starts, srcs, dsts, _, _ = pending[1]
+            order = np.lexsort((dsts, starts, srcs))
+            flat = dsts[order].tolist()
+            ends = np.cumsum(
+                np.bincount(srcs, minlength=self.num_procs)
+            ).tolist()
+            return [
+                flat[begin:end]
+                for begin, end in zip([0] + ends[:-1], ends)
+            ]
         orders: List[List[int]] = [[] for _ in range(self.num_procs)]
         for event in self.events:  # already start-sorted
             orders[event.src].append(event.dst)
@@ -239,15 +255,14 @@ class Schedule:
 def _materialize_events(pending) -> Tuple[CommEvent, ...]:
     """Build the event tuple of a lazily-constructed schedule.
 
-    ``pending`` is ``("fields", [(start, src, dst, duration, size), ...])``
-    (presorted tuples), ``("unsorted_fields", [...])`` (same tuples in
-    arbitrary order, sorted here on first access), ``("columns",
-    (starts, srcs, dsts, durations, sizes))`` (presorted parallel numpy
-    arrays), or ``("unsorted_columns", ...)`` (same arrays in arbitrary
-    order, lexsorted here on first access).  Events are built by
-    populating the instance dict directly: the frozen-dataclass
-    ``__setattr__`` and per-field validation are bypassed by the trusted
-    constructors' contract.
+    ``pending`` is ``("unsorted_fields", [(start, src, dst, duration,
+    size), ...])`` (tuples in arbitrary order, sorted here on first
+    access), ``("columns", (starts, srcs, dsts, durations, sizes))``
+    (presorted parallel numpy arrays), or ``("unsorted_columns", ...)``
+    (same arrays in arbitrary order, lexsorted here on first access).
+    Events are built by populating the instance dict directly: the
+    frozen-dataclass ``__setattr__`` and per-field validation are
+    bypassed by the trusted constructors' contract.
     """
     kind, data = pending
     if kind.endswith("columns"):
@@ -264,10 +279,9 @@ def _materialize_events(pending) -> Tuple[CommEvent, ...]:
             durations.tolist(), sizes.tolist(),
         )
     else:
-        if kind == "unsorted_fields":
-            # Field tuples share CommEvent's field order, so one tuple
-            # sort yields the canonical event order.
-            data.sort()
+        # Field tuples share CommEvent's field order, so one tuple sort
+        # yields the canonical event order.
+        data.sort()
         rows = data
     new = object.__new__
     events = []
@@ -284,40 +298,21 @@ def _materialize_events(pending) -> Tuple[CommEvent, ...]:
     return tuple(events)
 
 
-def schedule_from_sorted_fields(
-    num_procs: int, fields: Sequence[Tuple]
-) -> Schedule:
-    """Trusted lazy construction from presorted event field tuples.
-
-    ``fields`` holds ``(start, src, dst, duration, size)`` tuples — the
-    exact field order of :class:`CommEvent`, so tuple lexicographic order
-    equals event order.  The executors in :mod:`repro.sim.engine` emit
-    tens of thousands of events per schedule at ``P >= 256``; going
-    through the dataclass constructor and re-sorting inside
-    :class:`Schedule` dominates their runtime, so this path defers event
-    construction until ``events`` is first read.
-
-    Caller contract (checked only by the golden-equivalence tests, not
-    here): tuples are sorted ascending, indices lie in
-    ``[0, num_procs)``, and starts/durations are non-negative.  Anything
-    else produces a schedule that violates the class invariants.
-    """
-    schedule = object.__new__(Schedule)
-    d = schedule.__dict__
-    d["num_procs"] = num_procs
-    d["_pending"] = ("fields", fields)
-    return schedule
-
-
 def schedule_from_fields(num_procs: int, fields: List[Tuple]) -> Schedule:
     """Trusted lazy construction from *unsorted* event field tuples.
 
-    Same contract as :func:`schedule_from_sorted_fields` except the
-    tuples may arrive in any order: the list is sorted in place when
+    ``fields`` holds ``(start, src, dst, duration, size)`` tuples — the
+    exact field order of :class:`CommEvent`, so tuple lexicographic order
+    equals event order — in any order: the list is sorted in place when
     ``events`` is first materialised.  Schedulers that emit events in
     pick order (open shop) use this so callers that only score the
     schedule — ``completion_time`` needs one max, not an ordering —
-    never pay for the sort.
+    never pay for the sort or the per-event objects.
+
+    Caller contract (checked only by the golden-equivalence tests, not
+    here): indices lie in ``[0, num_procs)`` and starts/durations are
+    non-negative.  Anything else produces a schedule that violates the
+    class invariants.
     """
     schedule = object.__new__(Schedule)
     d = schedule.__dict__
@@ -336,12 +331,12 @@ def schedule_from_columns(
 ) -> Schedule:
     """Trusted lazy construction from presorted parallel event columns.
 
-    Same contract as :func:`schedule_from_sorted_fields`, but the event
-    data arrives as numpy arrays already ordered by ``(start, src,
-    dst)``.  The step executors build these columns without any
-    per-event Python work; makespan queries then run vectorized on the
-    columns, and :class:`CommEvent` objects exist only if somebody
-    inspects the schedule event by event.
+    Same contract as :func:`schedule_from_fields`, but the event data
+    arrives as numpy arrays already ordered by ``(start, src, dst)``.
+    The step executors build these columns without any per-event
+    Python work; makespan queries then run vectorized on the columns,
+    and :class:`CommEvent` objects exist only if somebody inspects the
+    schedule event by event.
     """
     schedule = object.__new__(Schedule)
     d = schedule.__dict__
@@ -363,8 +358,9 @@ def schedule_from_unsorted_columns(
     Same contract as :func:`schedule_from_columns` except the arrays may
     arrive in any order: they are lexsorted by ``(start, src, dst)``
     when ``events`` is first materialised.  The hierarchical scheduler
-    emits its spliced events in matrix order; callers that only score
-    the schedule never pay for the sort.
+    emits its spliced events in matrix order and the order executor in
+    flattened dispatch order; callers that only score the schedule
+    never pay for the sort.
     """
     schedule = object.__new__(Schedule)
     d = schedule.__dict__

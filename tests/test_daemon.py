@@ -275,6 +275,101 @@ def test_idle_client_does_not_spin_the_loop(tmp_path):
     assert used < 0.1, f"idle loop used {used:.3f} CPU-s in 1 s"
 
 
+def test_non_reading_client_cannot_grow_outbuf_past_cap(
+    tmp_path, monkeypatch
+):
+    import selectors
+    import socket
+    import time
+
+    from repro.serve.protocol import encode_message
+
+    cap = 16 * 1024
+    monkeypatch.setattr(SchedulerDaemon, "OUTBUF_CAP", cap)
+    peak = {}
+    flush = SchedulerDaemon._flush
+
+    def tracking_flush(self, conn):
+        peak[conn] = max(peak.get(conn, 0), len(conn.outbuf))
+        flush(self, conn)
+
+    monkeypatch.setattr(SchedulerDaemon, "_flush", tracking_flush)
+    batch = 16
+    daemon, thread, sock = start_daemon(
+        tmp_path, max_queue=batch, batch_max=batch
+    )
+    line = encode_message(ScheduleRequest(tenant="alpha"))
+    payload = line * 10000
+    flood = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        with DaemonClient(sock) as client:
+            client.open("alpha", procs=4)
+        flood.connect(sock)
+        flood.setblocking(False)
+        sent = 0
+        deadline = time.monotonic() + 30.0
+        stalled = None
+        while sent < len(payload) and time.monotonic() < deadline:
+            try:
+                sent += flood.send(payload[sent:sent + 65536])
+                stalled = None
+            except BlockingIOError:
+                stalled = stalled or time.monotonic()
+                if time.monotonic() - stalled > 1.0:
+                    break  # the daemon stopped reading
+                time.sleep(0.01)
+        # The flooding connection ends up watched for EVENT_WRITE only.
+        def flood_events():
+            return [
+                key.data.events
+                for key in daemon._selector.get_map().values()
+                if key.data is not None
+            ]
+
+        while time.monotonic() < deadline and (
+            selectors.EVENT_WRITE not in flood_events()
+        ):
+            time.sleep(0.01)
+        assert selectors.EVENT_WRITE in flood_events()
+        # ... and the daemon keeps serving everybody else.
+        with DaemonClient(sock) as other:
+            assert isinstance(other.schedule("alpha"), ScheduleResponse)
+    finally:
+        flood.close()
+        stop_daemon(daemon, thread)
+
+    counters = daemon.counters
+    answered = counters["accepted"] + counters["rejected_saturated"]
+    assert answered < len(payload) // len(line), "reading never stopped"
+    assert counters["rejected_saturated"] > 0
+    # Past the cap the daemon reads nothing more, so the buffer holds at
+    # most the cap, the answers to one read and one batch of responses.
+    longest_error = len(
+        encode_message(
+            ErrorResponse(
+                "saturated",
+                f"connection holds over {cap} bytes of unread responses; "
+                f"request queue full ({batch})",
+                retry_after_s=daemon.config.retry_after_s,
+            )
+        )
+    )
+    longest_response = len(
+        encode_message(
+            ScheduleResponse(
+                tenant="alpha", tick=10**9, decision="reschedule",
+                predicted_s=1 / 3, executed_s=1 / 3, regret_s=-1 / 3,
+                cache_hit=False, fallback=False, batched=False,
+                decision_latency_s=1 / 3, queue_depth=10**9,
+                backpressure=False,
+            )
+        )
+    )
+    per_read = SchedulerDaemon.RECV_BYTES // len(line) + 1
+    bound = cap + per_read * longest_error + batch * longest_response
+    assert max(peak.values()) <= bound
+
+
 # -- drain / restart --------------------------------------------------------
 
 

@@ -9,9 +9,7 @@ from repro.timing.events import (
     merge_schedules,
     schedule_from_columns,
     schedule_from_fields,
-    schedule_from_sorted_fields,
 )
-from repro.timing.validate import check_schedule
 
 
 def ev(start, src, dst, duration, size=0.0):
@@ -143,14 +141,13 @@ class TestLazyScheduleEdgeCases:
     """Degenerate inputs to the trusted lazy constructors."""
 
     def test_empty_fields(self):
-        for factory in (schedule_from_fields, schedule_from_sorted_fields):
-            s = factory(3, [])
-            assert len(s) == 0
-            assert s.completion_time == 0.0
-            assert s.events == ()
-            # Still consistent after materialization.
-            assert len(s) == 0
-            assert s.completion_time == 0.0
+        s = schedule_from_fields(3, [])
+        assert len(s) == 0
+        assert s.completion_time == 0.0
+        assert s.events == ()
+        # Still consistent after materialization.
+        assert len(s) == 0
+        assert s.completion_time == 0.0
 
     def test_empty_columns(self):
         empty = np.array([])
@@ -165,14 +162,6 @@ class TestLazyScheduleEdgeCases:
         assert len(s) == 0
         assert s.completion_time == 0.0
         assert s.events == ()
-
-    def test_zero_duration_markers_only(self):
-        fields = [(0.0, 0, 1, 0.0, 0.0), (0.0, 1, 0, 0.0, 0.0)]
-        s = schedule_from_sorted_fields(2, fields)
-        assert s.completion_time == 0.0
-        assert len(s) == 2
-        assert all(e.duration == 0.0 for e in s)
-        check_schedule(s)  # markers never conflict
 
     def test_materialization_is_idempotent_and_cached(self):
         fields = [(1.0, 0, 1, 2.0, 0.0), (0.0, 1, 0, 0.5, 0.0)]

@@ -15,18 +15,24 @@ import pytest
 
 from repro.adaptive.incremental import RefineResult, refine_orders
 from repro.core.greedy import greedy_orders, greedy_steps, schedule_greedy
+from repro.core.hierarchical import schedule_hierarchical
 from repro.core.matching import matching_rounds, schedule_matching
 from repro.core.openshop import openshop_events, schedule_openshop
 from repro.core.problem import TotalExchangeProblem, tight_baseline_instance
+from repro.directory.service import DirectorySnapshot
 from repro.experiments.harness import run_sweep
 from repro.model.messages import UniformSizes
+from repro.network.generators import clustered_pairwise_parameters
 from repro.perf import reference
+from repro.perf.memo import schedule_digest
+from repro.serve.tenants import make_workload_sizes
 from repro.sim.engine import (
     execute_orders,
     execute_orders_on_cost,
     execute_steps_barrier,
     execute_steps_strict,
 )
+from repro.timing.validate import check_schedule_fast
 from tests.conftest import random_problem
 
 PROC_COUNTS = (2, 3, 8, 17, 50)
@@ -76,18 +82,92 @@ def test_greedy_chain_matches_seed_with_free_messages(num_procs, seed):
     )
 
 
+def _assert_same_executed(cost, orders, sizes=None):
+    """The order executor equals the seed executor on every reading.
+
+    The lazy accessors are read before ``events`` materialises the
+    column form, so both the raw and the materialised paths are pinned.
+    """
+    fast = execute_orders_on_cost(cost, orders, sizes=sizes)
+    slow = reference.execute_orders_on_cost_reference(
+        cost, orders, sizes=sizes
+    )
+    assert fast.completion_time == slow.completion_time
+    assert len(fast) == len(slow)
+    assert fast.send_orders() == slow.send_orders()
+    assert fast.events == slow.events
+    assert fast == slow
+    assert hash(fast) == hash(slow)
+    assert schedule_digest(fast) == schedule_digest(slow)
+    return fast
+
+
 @pytest.mark.parametrize("num_procs", PROC_COUNTS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_order_executor_matches_seed(num_procs, seed):
     problem = _sized_problem(num_procs, seed, zero_fraction=0.2)
-    orders = greedy_orders(problem)
-    fast = execute_orders_on_cost(
-        problem.cost, orders, sizes=problem.sizes
+    _assert_same_executed(
+        problem.cost, greedy_orders(problem), problem.sizes
     )
-    slow = reference.execute_orders_on_cost_reference(
-        problem.cost, orders, sizes=problem.sizes
+
+
+def _storm_shape():
+    """A hierarchical P=256 plan (clusters of 64) re-executed under
+    log-normally perturbed costs, as a serving tick re-executes it."""
+    latency, bandwidth = clustered_pairwise_parameters(
+        256, cluster_size=64, rng=1998
     )
-    assert fast == slow
+    problem = TotalExchangeProblem.from_snapshot(
+        DirectorySnapshot(latency=latency, bandwidth=bandwidth),
+        make_workload_sizes("uniform:size_bytes=1048576", 256),
+    )
+    orders = schedule_hierarchical(problem).send_orders()
+    rng = np.random.default_rng(7)
+    cost = problem.cost * rng.lognormal(0.0, 0.3, size=problem.cost.shape)
+    return cost, orders, problem.sizes
+
+
+def _hand_built_shape():
+    """Empty sender lists, free markers before, between and after
+    positive sends (one priced at ``-0.0``), and a positive
+    self-message."""
+    cost = np.array(
+        [
+            [0.0, 0.0, 2.0, -0.0, 1.0],
+            [1.0, 1.5, 0.0, 2.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [3.0, 0.5, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    orders = [
+        [0, 1, 2, 3, 4],  # markers first and between
+        [2, 1, 0, 4, 3],  # self-message to 1, markers between
+        [],
+        [2, 0, 1, 4],  # marker after the last positive send
+        [],
+    ]
+    sizes = np.arange(25, dtype=float).reshape(5, 5)
+    return cost, orders, sizes
+
+
+def _markers_only_shape():
+    """Every cost is zero: the schedule is all markers at time 0."""
+    return np.zeros((3, 3)), [[1, 2, 0], [], [0, 1]], None
+
+
+@pytest.mark.parametrize(
+    "shape",
+    (_storm_shape, _hand_built_shape, _markers_only_shape),
+    ids=("storm-p256", "hand-built", "markers-only"),
+)
+def test_order_executor_matches_seed_on_plan_shapes(shape):
+    cost, orders, sizes = shape()
+    executed = _assert_same_executed(cost, orders, sizes)
+    # Free events are exact 0.0 markers that never conflict.
+    durations = [event.duration for event in executed.events]
+    assert all(d > 0.0 or str(d) == "0.0" for d in durations)
+    check_schedule_fast(executed, cost)
 
 
 @pytest.mark.parametrize("num_procs", PROC_COUNTS)
